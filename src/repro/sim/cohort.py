@@ -14,8 +14,11 @@ a per-edge *virtual service* clock ``V`` — the cumulative bits any one
 flow has received. A flow of ``size`` bits joining at ``V0`` completes
 when ``V`` reaches ``V0 + size``, so flow joins/leaves and capacity
 changes (fault windows) only re-time the earliest completion; no
-per-flow state is rewritten. A global event heap ordered by
-``(time, push seq)`` interleaves all sessions deterministically.
+per-flow state is rewritten. Events are ordered by ``(time, push
+seq)`` across all sessions: most live in one global heap, request
+watchdogs in one FIFO per medium (sorted by construction), and each
+edge keeps at most one armed completion entry in the heap (see
+:meth:`CohortKernel._loop`).
 
 Sessions run a compact recommended-style policy (harmonic-mean
 estimate, safety factor, curated-combination selection, balanced A/V
@@ -48,6 +51,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -73,8 +77,23 @@ from ..topology.spec import TopologySpec
 _V_EPS = 1e-6
 
 #: Runaway guard: no legitimate cohort needs more events than this per
-#: session chunk (requests, retries, waits, fault edges, watchdogs).
+#: session chunk. Only live events count (requests, retries, waits,
+#: fault edges, expiring watchdogs): watchdogs of finished requests and
+#: superseded edge-completion entries are dropped without a handler.
 _EVENTS_PER_CHUNK_CAP = 400
+
+
+def _suffix_minima(values: List[float]) -> List[float]:
+    """``out[i] == min(values[i:])``: nondecreasing for any ``values``.
+
+    The highest index whose value is ``<= x`` is exactly
+    ``bisect_right(out, x) - 1``, even when ``values`` is not sorted.
+    """
+    out = list(values)
+    for i in range(len(out) - 2, -1, -1):
+        if out[i + 1] < out[i]:
+            out[i] = out[i + 1]
+    return out
 
 
 @dataclass
@@ -116,6 +135,16 @@ class CohortConfig:
             raise SimulationError(
                 f"max sim time must be positive, got {self.max_sim_time_s}"
             )
+        # A non-positive target would pace with zero-delay wakes forever.
+        if self.buffer_target_s <= 0:
+            raise SimulationError(
+                f"buffer_target_s must be positive, got {self.buffer_target_s}"
+            )
+        for name in ("up_buffer_s", "down_buffer_s"):
+            if getattr(self, name) < 0:
+                raise SimulationError(
+                    f"{name} must be >= 0, got {getattr(self, name)}"
+                )
 
 
 @dataclass(frozen=True)
@@ -189,7 +218,13 @@ class CohortResult:
 
 
 class _Edge:
-    """Live processor-sharing state of one edge."""
+    """Live processor-sharing state of one edge.
+
+    ``due_t``/``due_seq`` is the reserved event key of the edge's next
+    completion (``due_seq == 0``: none due); ``armed_t``/``armed_seq``
+    is the key of the edge's entry in the global heap (``0``: none).
+    The armed key is never later than the due key.
+    """
 
     __slots__ = (
         "spec",
@@ -200,7 +235,10 @@ class _Edge:
         "last_t",
         "flows",
         "heap",
-        "gen",
+        "due_t",
+        "due_seq",
+        "armed_t",
+        "armed_seq",
         "served_bits",
         "settled_bits",
         "busy_s",
@@ -217,7 +255,10 @@ class _Edge:
         self.last_t = 0.0
         self.flows: Dict[int, "_Flow"] = {}
         self.heap: List[Tuple[float, int]] = []  # (v_target, flow id)
-        self.gen = 0
+        self.due_t = 0.0
+        self.due_seq = 0
+        self.armed_t = 0.0
+        self.armed_seq = 0
         self.served_bits = 0.0  # ∫ capacity dt while busy (edge's ledger)
         self.settled_bits = 0.0  # Σ per-flow settlements (sessions' ledger)
         self.busy_s = 0.0
@@ -231,10 +272,11 @@ class _Edge:
             self.v += self.rate_bps * dt / len(self.flows)
             self.served_bits += self.rate_bps * dt
             self.busy_s += dt
-        self.last_t = max(self.last_t, t)
+        if t > self.last_t:
+            self.last_t = t
 
-    def next_completion(self) -> Optional[Tuple[float, int]]:
-        """(absolute time, flow id) of the earliest completion, if any."""
+    def next_completion(self) -> Optional[float]:
+        """Absolute time of the earliest completion, if any."""
         while self.heap:
             v_target, flow_id = self.heap[0]
             if flow_id not in self.flows:
@@ -242,9 +284,9 @@ class _Edge:
                 continue
             if self.rate_bps <= 0:
                 return None
-            remaining = max(0.0, v_target - self.v)
-            dt = remaining * len(self.flows) / self.rate_bps
-            return self.last_t + dt, flow_id
+            remaining = v_target - self.v
+            remaining = remaining if remaining > 0.0 else 0.0
+            return self.last_t + remaining * len(self.flows) / self.rate_bps
         return None
 
 
@@ -258,6 +300,40 @@ class _Flow:
         self.v_start = v_start
         self.v_target = v_start + size_bits
         self.size_bits = size_bits
+
+
+class _Request:
+    """One dispatched request: the session's ``inflight`` while live.
+
+    Identity is liveness: a watchdog, latency or failure event that
+    carries a request other than its session's ``inflight`` is stale.
+    """
+
+    __slots__ = (
+        "session",
+        "seq",
+        "medium",
+        "index",
+        "track",
+        "edge",
+        "size",
+        "hit",
+        "dispatched",
+        "flow",
+    )
+
+    def __init__(self, session, seq, medium, index, track, edge, size, hit,
+                 dispatched):
+        self.session = session
+        self.seq = seq
+        self.medium = medium
+        self.index = index
+        self.track = track
+        self.edge = edge
+        self.size = size
+        self.hit = hit
+        self.dispatched = dispatched
+        self.flow: Optional[int] = None
 
 
 class _Session:
@@ -330,8 +406,8 @@ class _Session:
         self.chunks_downloaded = 0
         self.bits_useful = 0.0
         self.bits_wasted = 0.0
-        self.req_seq = 0  # invalidates stale watchdog/latency events
-        self.inflight: Optional[dict] = None
+        self.req_seq = 0  # invalidates stale wake/retry events
+        self.inflight: Optional[_Request] = None
         self.attempt = 0  # attempts spent on the current chunk
         self.done = False
         self.completed = False
@@ -376,6 +452,9 @@ class CohortKernel:
                     self._sizes[(track.track_id, index)] = content.chunk(
                         track.track_id, index
                     ).size_bits
+        self._suffix_min_kbps = _suffix_minima(
+            [combo.avg_kbps for combo in self.combos]
+        )
 
     # -- deterministic draws ------------------------------------------------
 
@@ -406,8 +485,21 @@ class CohortKernel:
                 _Session(sid, arrival, health, cfg.estimator_window)
             )
 
-        self._heap: List[Tuple[float, int, str, tuple]] = []
+        # (time, seq, handler, args); seq is unique, so tuples never
+        # compare past it. Handlers are plain functions called with the
+        # kernel: bound methods in the heap would make reference cycles
+        # that keep finished kernels alive until a full collection.
+        self._heap: List[tuple] = []
         self._push_seq = 0
+        # Deterministic work counts (not part of the result): handlers
+        # dispatched, and pushes onto the global heap.
+        self.events_processed = 0
+        self.heap_pushes = 0
+        # One watchdog FIFO per medium of (deadline, seq, request):
+        # timeout_for(medium) is constant and requests are dispatched at
+        # nondecreasing event times, so each FIFO is sorted by its key.
+        self._video_watchdogs: deque = deque()
+        self._audio_watchdogs: deque = deque()
         self._alive = cfg.n_sessions
         self._events: List[Dict[str, object]] = []
         self._brownouts = [
@@ -418,25 +510,12 @@ class CohortKernel:
         self._summaries: List[CohortSessionSummary] = []
 
         for session in self.sessions:
-            self._push(session.arrival_s, "arrive", (session.sid,))
+            self._push(session.arrival_s, CohortKernel._on_arrive, (session,))
         for index, window in enumerate(self.windows):
-            self._push(window.start_s, "fault_start", (index,))
-            self._push(window.end_s, "fault_end", (index,))
+            self._push(window.start_s, CohortKernel._on_fault_start, (index,))
+            self._push(window.end_s, CohortKernel._on_fault_end, (index,))
 
-        budget = cfg.n_sessions * self.n_chunks * _EVENTS_PER_CHUNK_CAP
-        processed = 0
-        while self._heap and self._alive > 0:
-            t, _, kind, payload = heapq.heappop(self._heap)
-            if t > cfg.max_sim_time_s:
-                break
-            processed += 1
-            if processed > budget:
-                raise SimulationError(
-                    f"cohort event budget exhausted after {processed} events "
-                    "(kernel scheduling bug: the run is not converging)"
-                )
-            handler = getattr(self, "_on_" + kind)
-            handler(t, *payload)
+        self._loop(cfg.n_sessions * self.n_chunks * _EVENTS_PER_CHUNK_CAP)
 
         # Ceiling: anything still alive ends degraded-but-verdicted.
         for session in self.sessions:
@@ -447,11 +526,64 @@ class CohortKernel:
                 )
         return self._result()
 
+    # hot
+    def _loop(self, budget: int) -> None:
+        """Dispatch events in ``(time, seq)`` order until all are done.
+
+        The next event is the earliest key among the global heap's top
+        and the head of each medium's watchdog FIFO; every key is
+        unique, so live events dispatch in exactly the order one heap
+        holding everything would give. Two kinds of entry are dropped
+        without dispatching a handler (and without counting against
+        ``budget``): watchdogs of requests that already finished, and
+        edge-completion entries that are not their edge's due one.
+        """
+        heap = self._heap
+        heappop = heapq.heappop
+        fifos = (self._video_watchdogs, self._audio_watchdogs)
+        limit = self.config.max_sim_time_s
+        on_deadline = CohortKernel._on_deadline
+        on_edge_complete = CohortKernel._on_edge_complete
+        while self._alive > 0:
+            entry = heap[0] if heap else None
+            source = None
+            for fifo in fifos:
+                if fifo and (entry is None or fifo[0] < entry):
+                    entry = fifo[0]
+                    source = fifo
+            if entry is None:
+                break
+            if source is None:
+                heappop(heap)
+                t, seq, handler, args = entry
+                if handler is on_edge_complete and not self._due(
+                    args[0], seq
+                ):
+                    continue
+            else:
+                source.popleft()
+                t, _, request = entry
+                if request.session.inflight is not request:
+                    continue  # the request finished before its watchdog
+                handler = on_deadline
+                args = (request,)
+            if t > limit:
+                break
+            self.events_processed += 1
+            if self.events_processed > budget:
+                raise SimulationError(
+                    "cohort event budget exhausted after "
+                    f"{self.events_processed} events "
+                    "(kernel scheduling bug: the run is not converging)"
+                )
+            handler(self, t, *args)
+
     # -- event plumbing -----------------------------------------------------
 
-    def _push(self, t: float, kind: str, payload: tuple) -> None:
+    def _push(self, t: float, handler, args: tuple) -> None:
         self._push_seq += 1
-        heapq.heappush(self._heap, (t, self._push_seq, kind, payload))
+        self.heap_pushes += 1
+        heapq.heappush(self._heap, (t, self._push_seq, handler, args))
 
     def _log(self, t: float, kind: str, **fields) -> None:
         event = {"t": round(t, 6), "k": kind}
@@ -471,7 +603,7 @@ class CohortKernel:
                 return
             edge.settle(t)
             edge.rate_bps = 0.0
-            edge.gen += 1  # outage: no completion until the window ends
+            edge.due_seq = 0  # outage: no completion until the window ends
         elif window.kind is FaultDomainKind.EVICTION_STORM:
             edge = self.edges.get(window.domain)
             if edge is not None:
@@ -492,7 +624,6 @@ class CohortKernel:
             # Another outage window may still cover this edge.
             if not self._edge_in_outage(window.domain, t):
                 edge.rate_bps = edge.base_bps
-            edge.gen += 1
             self._schedule_completion(edge)
 
     def _edge_in_outage(self, edge_id: str, t: float) -> bool:
@@ -511,11 +642,10 @@ class CohortKernel:
 
     # -- session lifecycle --------------------------------------------------
 
-    def _on_arrive(self, t: float, sid: int) -> None:
-        self._decide(self.sessions[sid], t)
+    def _on_arrive(self, t: float, session: _Session) -> None:
+        self._decide(session, t)
 
-    def _on_wake(self, t: float, sid: int, seq: int) -> None:
-        session = self.sessions[sid]
+    def _on_wake(self, t: float, session: _Session, seq: int) -> None:
         if session.done or session.req_seq != seq or session.inflight:
             return  # stale wake: state moved on
         self._decide(session, t)
@@ -525,12 +655,17 @@ class CohortKernel:
         dt = t - session.clock
         if dt <= 0:
             return
-        session.imbalance_integral += abs(session.vbuf - session.abuf) * dt
+        vbuf = session.vbuf
+        abuf = session.abuf
+        session.imbalance_integral += abs(vbuf - abuf) * dt
         if session.playing:
-            minbuf = min(session.vbuf, session.abuf)
-            drain = min(dt, minbuf)
-            session.vbuf = max(0.0, session.vbuf - drain)
-            session.abuf = max(0.0, session.abuf - drain)
+            # Branch forms of min/max: same operand chosen on ties.
+            minbuf = abuf if abuf < vbuf else vbuf
+            drain = minbuf if minbuf < dt else dt
+            vbuf -= drain
+            abuf -= drain
+            session.vbuf = vbuf if vbuf > 0.0 else 0.0
+            session.abuf = abuf if abuf > 0.0 else 0.0
             session.played_s += drain
             if dt > drain + 1e-12:
                 if not session.stalled:
@@ -558,7 +693,9 @@ class CohortKernel:
         if session.playing and minbuf >= cfg.buffer_target_s:
             wake_in = minbuf - max(cfg.buffer_target_s - self.chunk_s, 0.0)
             session.req_seq += 1
-            self._push(t + wake_in, "wake", (session.sid, session.req_seq))
+            self._push(
+                t + wake_in, CohortKernel._on_wake, (session, session.req_seq)
+            )
             return
         # Balanced A/V: feed the lagging medium (video wins ties, so the
         # very first fetch is video, then audio, as the buffers leapfrog).
@@ -585,13 +722,17 @@ class CohortKernel:
         if estimate is None:
             session.combo_index = 0
             return 0
-        budget = estimate * cfg.safety_factor
-        ideal = 0
-        for i, combo in enumerate(self.combos):
-            if combo.avg_kbps <= budget:
-                ideal = i
+        # The highest rung whose bitrate fits the budget (rung 0 if
+        # none does).
+        ideal = bisect_right(
+            self._suffix_min_kbps, estimate * cfg.safety_factor
+        ) - 1
+        if ideal < 0:
+            ideal = 0
         current = session.combo_index
-        minbuf = min(session.vbuf, session.abuf)
+        vbuf = session.vbuf
+        abuf = session.abuf
+        minbuf = abuf if abuf < vbuf else vbuf
         if ideal > current:
             if minbuf >= cfg.up_buffer_s:
                 current = ideal
@@ -635,61 +776,95 @@ class CohortKernel:
                 if u < brownout.error_probability:
                     failure_kind = FailureKind.HTTP_5XX
             latency += origin.rtt_s + penalty
-        size = self._sizes[address]
-        session.inflight = {
-            "seq": session.req_seq,
-            "medium": medium,
-            "index": index,
-            "track": track_id,
-            "edge": edge_id,
-            "size": size,
-            "hit": hit,
-            "dispatched": t,
-            "flow": None,
-        }
-        deadline = t + cfg.retry_policy.timeout_for(medium)
-        self._push(deadline, "deadline", (session.sid, session.req_seq))
+        request = _Request(
+            session, session.req_seq, medium, index, track_id, edge,
+            self._sizes[address], hit, t,
+        )
+        session.inflight = request
+        # The watchdog takes the next key but waits in its medium's FIFO.
+        self._push_seq += 1
+        watchdogs = (
+            self._video_watchdogs if medium is MediaType.VIDEO
+            else self._audio_watchdogs
+        )
+        watchdogs.append(
+            (t + cfg.retry_policy.timeout_for(medium), self._push_seq, request)
+        )
         if failure_kind is not None:
             self._push(
-                t + latency, "reqfail",
-                (session.sid, session.req_seq, failure_kind.value),
+                t + latency, CohortKernel._on_reqfail, (request, failure_kind)
             )
         else:
-            self._push(t + latency, "flow_start", (session.sid, session.req_seq))
+            self._push(t + latency, CohortKernel._on_flow_start, (request,))
 
-    def _on_flow_start(self, t: float, sid: int, seq: int) -> None:
-        session = self.sessions[sid]
-        request = session.inflight
-        if session.done or request is None or request["seq"] != seq:
+    def _on_flow_start(self, t: float, request: _Request) -> None:
+        session = request.session
+        if session.inflight is not request:
             return
-        edge = self.edges[request["edge"]]
+        edge = request.edge
         edge.settle(t)
-        flow = _Flow(sid, edge.v, request["size"])
-        flow_id = seq * self.config.n_sessions + sid  # globally unique
+        flow = _Flow(session.sid, edge.v, request.size)
+        flow_id = request.seq * self.config.n_sessions + session.sid  # unique
         edge.flows[flow_id] = flow
         heapq.heappush(edge.heap, (flow.v_target, flow_id))
-        edge.gen += 1
-        request["flow"] = flow_id
+        request.flow = flow_id
         self._schedule_completion(edge)
 
     def _schedule_completion(self, edge: _Edge) -> None:
-        nxt = edge.next_completion()
-        if nxt is not None:
-            self._push(nxt[0], "edge_complete", (edge.spec.edge_id, edge.gen))
+        """Reserve the key of ``edge``'s next completion.
 
-    def _on_edge_complete(self, t: float, edge_id: str, gen: int) -> None:
-        edge = self.edges[edge_id]
-        if gen != edge.gen:
-            return  # state changed since this event was scheduled
+        The key is pushed only when it is earlier than the edge's armed
+        heap entry; otherwise the armed entry re-pushes it when it pops
+        (:meth:`_due`). Either way the completion fires at its reserved
+        ``(time, seq)``, exactly where an eager push would have put it.
+        """
+        t = edge.next_completion()
+        if t is None:
+            edge.due_seq = 0
+            return
+        self._push_seq += 1
+        seq = self._push_seq
+        edge.due_t = t
+        edge.due_seq = seq
+        # A fresh seq exceeds the armed one, so times alone decide.
+        if not edge.armed_seq or t < edge.armed_t:
+            edge.armed_t = t
+            edge.armed_seq = seq
+            self.heap_pushes += 1
+            heapq.heappush(
+                self._heap, (t, seq, CohortKernel._on_edge_complete, (edge,))
+            )
+
+    def _due(self, edge: _Edge, seq: int) -> bool:
+        """Is the popped completion entry ``seq`` the edge's due one?"""
+        if seq != edge.armed_seq:
+            return False  # superseded by an earlier arming
+        if seq == edge.due_seq:
+            edge.armed_seq = 0
+            return True
+        # The completion moved later (or away): arm its reserved key.
+        edge.armed_seq = edge.due_seq
+        if edge.due_seq:
+            edge.armed_t = edge.due_t
+            self.heap_pushes += 1
+            heapq.heappush(
+                self._heap,
+                (edge.due_t, edge.due_seq, CohortKernel._on_edge_complete,
+                 (edge,)),
+            )
+        return False
+
+    def _on_edge_complete(self, t: float, edge: _Edge) -> None:
         edge.settle(t)
-        slack = _V_EPS * max(1.0, edge.v)
+        v = edge.v
+        slack = _V_EPS * (v if v > 1.0 else 1.0)
         finished: List[int] = []
         while edge.heap:
             v_target, flow_id = edge.heap[0]
             if flow_id not in edge.flows:
                 heapq.heappop(edge.heap)
                 continue
-            if v_target > edge.v + slack:
+            if v_target > v + slack:
                 break
             heapq.heappop(edge.heap)
             finished.append(flow_id)
@@ -701,52 +876,50 @@ class CohortKernel:
             # than its nominal size (the "last packet" rounding), which
             # keeps Σ settlements == ∫ capacity dt exact at any scale
             # instead of accumulating an early-credit bias.
-            delivered = max(
-                0.0, min(edge.v, flow.v_target) - flow.v_start
-            )
+            v_target = flow.v_target
+            delivered = (v_target if v_target < v else v) - flow.v_start
+            delivered = delivered if delivered > 0.0 else 0.0
             edge.settled_bits += delivered
             edge.useful_bits += delivered
             self._complete_request(
-                self.sessions[flow.session_id], t, flow, delivered
+                self.sessions[flow.session_id], t, delivered
             )
-        edge.gen += 1
         self._schedule_completion(edge)
 
     def _complete_request(
-        self, session: _Session, t: float, flow: _Flow, delivered: float
+        self, session: _Session, t: float, delivered: float
     ) -> None:
         request = session.inflight
         if session.done or request is None:
             return
         session.inflight = None
         session.attempt = 0
-        medium: MediaType = request["medium"]
-        edge = self.edges[request["edge"]]
-        if not request["hit"]:
-            edge.cache.admit((request["track"], request["index"]))
-        session.health.record_success(request["edge"])
-        elapsed = t - request["dispatched"]
+        track = request.track
+        if not request.hit:
+            request.edge.cache.admit((track, request.index))
+        session.health.record_success(request.edge.spec.edge_id)
+        elapsed = t - request.dispatched
         if elapsed > 0:
-            session.samples.append(request["size"] / elapsed / 1000.0)
+            session.samples.append(request.size / elapsed / 1000.0)
         session.bits_useful += delivered
         session.chunks_downloaded += 1
         self._advance(session, t)
-        if medium is MediaType.VIDEO:
+        if request.medium is MediaType.VIDEO:
             if (
                 session.last_v_track is not None
-                and session.last_v_track != request["track"]
+                and session.last_v_track != track
             ):
                 session.video_switches += 1
-            session.last_v_track = request["track"]
+            session.last_v_track = track
             session.v_done += 1
             session.vbuf += self.chunk_s
         else:
             if (
                 session.last_a_track is not None
-                and session.last_a_track != request["track"]
+                and session.last_a_track != track
             ):
                 session.audio_switches += 1
-            session.last_a_track = request["track"]
+            session.last_a_track = track
             session.a_done += 1
             session.abuf += self.chunk_s
         if not session.playing and session.vbuf > 0 and session.abuf > 0:
@@ -756,32 +929,29 @@ class CohortKernel:
             session.stalled = False  # the starved medium refilled
         self._decide(session, t)
 
-    def _on_reqfail(self, t: float, sid: int, seq: int, kind: str) -> None:
+    def _on_reqfail(
+        self, t: float, request: _Request, kind: FailureKind
+    ) -> None:
         """Header-level failure (brownout 5xx): no payload bytes."""
-        session = self.sessions[sid]
-        request = session.inflight
-        if session.done or request is None or request["seq"] != seq:
+        session = request.session
+        if session.inflight is not request:
             return
-        self._fail_request(session, t, FailureKind(kind), wasted_bits=0.0)
+        self._fail_request(session, t, kind, wasted_bits=0.0)
 
-    def _on_deadline(self, t: float, sid: int, seq: int) -> None:
+    def _on_deadline(self, t: float, request: _Request) -> None:
         """Watchdog expiry: the request hung or trickled too slowly."""
-        session = self.sessions[sid]
-        request = session.inflight
-        if session.done or request is None or request["seq"] != seq:
-            return
+        session = request.session
         wasted = 0.0
         kind = FailureKind.TIMEOUT
-        flow_id = request["flow"]
+        flow_id = request.flow
         if flow_id is not None:
-            edge = self.edges[request["edge"]]
+            edge = request.edge
             edge.settle(t)
             flow = edge.flows.pop(flow_id, None)
             if flow is not None:
                 wasted = max(0.0, min(edge.v - flow.v_start, flow.size_bits))
                 edge.settled_bits += wasted
                 edge.wasted_bits += wasted
-                edge.gen += 1
                 self._schedule_completion(edge)
             if wasted > 0:
                 kind = FailureKind.SLOW_TRANSFER
@@ -789,7 +959,7 @@ class CohortKernel:
                 # to the estimator so the ABR steps down instead of
                 # re-requesting the same doomed rung until the attempt
                 # cap fires.
-                elapsed = t - request["dispatched"]
+                elapsed = t - request.dispatched
                 if elapsed > 0:
                     session.samples.append(wasted / elapsed / 1000.0)
         self._fail_request(session, t, kind, wasted_bits=wasted)
@@ -802,7 +972,7 @@ class CohortKernel:
         request = session.inflight
         session.inflight = None
         session.bits_wasted += wasted_bits
-        session.health.record_failure(request["edge"], t)
+        session.health.record_failure(request.edge.spec.edge_id, t)
         self._advance(session, t)
         if session.attempt >= cfg.retry_policy.max_attempts:
             self._terminate(session, t, "attempts_exhausted")
@@ -813,30 +983,28 @@ class CohortKernel:
         session.retries_spent += 1
         session.retries += 1
         delay = cfg.retry_policy.delay_s(
-            session.attempt + 1, request["medium"], request["index"]
+            session.attempt + 1, request.medium, request.index
         )
         # Redispatch the same chunk after backoff (possibly on a
         # failed-over edge, possibly at a lower rung).
         session.req_seq += 1
         self._push(
-            t + delay, "retry",
-            (session.sid, session.req_seq,
-             request["medium"].value, request["index"]),
+            t + delay, CohortKernel._on_retry,
+            (session, session.req_seq, request.medium, request.index),
         )
 
     def _on_retry(
-        self, t: float, sid: int, seq: int, medium: str, index: int
+        self, t: float, session: _Session, seq: int, medium: MediaType,
+        index: int,
     ) -> None:
-        session = self.sessions[sid]
         if session.done or session.req_seq != seq or session.inflight:
             return
         self._advance(session, t)
         # Re-select: the failure may have fed the estimator or engaged
         # the emergency rung, so the retry fetches the *current* choice.
-        which = MediaType(medium)
         combo = self.combos[self._select(session)]
-        track = combo.video if which is MediaType.VIDEO else combo.audio
-        self._dispatch(session, t, which, index, track.track_id)
+        track = combo.video if medium is MediaType.VIDEO else combo.audio
+        self._dispatch(session, t, medium, index, track.track_id)
 
     # -- verdicts -----------------------------------------------------------
 

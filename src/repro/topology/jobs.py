@@ -85,12 +85,11 @@ class CohortJob:
             f"/{storm}/s{self.seed}#{self.key()[:10]}"
         )
 
-    def execute(self, attempt: int = 1, record_dir: Optional[str] = None):
-        """Run the cohort; the engine's job-agnostic entry point.
+    def kernel(self):
+        """The live, not yet run :class:`~repro.sim.cohort.CohortKernel`.
 
-        ``record_dir`` writes a schema-2 fault-domain event log next to
-        the session logs single-session jobs record — the CI artifact
-        showing which windows opened and who failed over where.
+        After ``run()`` it also carries the scheduler's work counts
+        (``events_processed``, ``heap_pushes``).
         """
         # Deferred import: topology.* must stay importable without the
         # sim layer (which itself imports topology specs for the kernel).
@@ -111,10 +110,18 @@ class CohortJob:
             max_sim_time_s=self.max_sim_time_s,
             keep_summaries=self.keep_summaries,
         )
-        kernel = CohortKernel(
+        return CohortKernel(
             content, combos, self.topology, windows=windows, config=config
         )
-        result = kernel.run()
+
+    def execute(self, attempt: int = 1, record_dir: Optional[str] = None):
+        """Run the cohort; the engine's job-agnostic entry point.
+
+        ``record_dir`` writes a schema-2 fault-domain event log next to
+        the session logs single-session jobs record — the CI artifact
+        showing which windows opened and who failed over where.
+        """
+        result = self.kernel().run()
         if record_dir is not None:
             self._record_fault_log(result, record_dir)
         return result
