@@ -1,12 +1,19 @@
-"""repro.runner — engine overhead and cache replay speed.
+"""repro.runner — engine overhead, cache replay and event-log speed.
 
-Two costs matter: what the job/spec machinery adds on top of the bare
-serial loop (should be negligible), and how fast a fully warmed cache
-replays a grid (should be orders of magnitude under simulation).
+Three costs matter: what the job/spec machinery adds on top of the bare
+serial loop (should be negligible), how fast a fully warmed cache
+replays a grid (should be orders of magnitude under simulation), and
+what recording and replaying event logs — the runner's second cache
+tier — cost on top of simulating.
 """
+
+import filecmp
+import importlib.util
+import os
 
 import pytest
 
+from repro.replay import replay_session
 from repro.runner import (
     PlayerSpec,
     ResultCache,
@@ -46,6 +53,47 @@ def test_bench_job_key_hashing(benchmark):
     job = GRID[0]
     key = benchmark(job.key)
     assert len(key) == 64
+
+
+def _load_oracle():
+    path = os.path.join(
+        os.path.dirname(__file__),
+        os.pardir,
+        "tests",
+        "fixtures",
+        "eventlogs",
+        "regenerate.py",
+    )
+    spec = importlib.util.spec_from_file_location("eventlog_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_ORACLE = _load_oracle()
+
+
+def test_bench_event_log_roundtrip(benchmark, tmp_path):
+    """Record, then replay, the 17-job pinned oracle grid.
+
+    The event-log codec both ways: encoding and framing every event as
+    the sessions run, then scanning, decoding and rebuilding each
+    session from its log. The logs must come out byte-identical to the
+    pinned oracle, so a codec that got fast by writing different bytes
+    does not count.
+    """
+    out_dir = str(tmp_path / "logs")
+
+    def roundtrip():
+        written = _ORACLE.record_all(out_dir)
+        return written, [replay_session(path) for _, path in written]
+
+    written, replayed = benchmark(roundtrip)
+    assert len(replayed) == len(_ORACLE.fixture_jobs())
+    assert all(r.intact and r.has_verdict for r in replayed)
+    for label, path in written:
+        pinned = os.path.join(_ORACLE.FIXTURE_DIR, os.path.basename(path))
+        assert filecmp.cmp(path, pinned, shallow=False), label
 
 
 if __name__ == "__main__":  # pragma: no cover

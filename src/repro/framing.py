@@ -93,6 +93,10 @@ def unframe_payload(data: bytes) -> Tuple[Optional[bytes], str]:
 LINE_MAGIC = b"REV1"
 #: ``REV1 xxxxxxxx yyyyyyyy `` — magic, length hex, CRC hex, 3 spaces.
 _LINE_PREFIX_LEN = len(LINE_MAGIC) + 1 + 8 + 1 + 8 + 1
+#: The header :func:`frame_line` writes, given a payload's length and
+#: CRC. A line that starts with the header of its own payload is intact;
+#: every other line goes through :func:`_classify_line`.
+_LINE_HEADER = LINE_MAGIC + b" %08x %08x "
 
 
 def frame_line(payload: bytes) -> bytes:
@@ -184,7 +188,13 @@ def scan_lines(data: bytes) -> LineScan:
     lines = data.split(b"\n")
     unterminated = lines[-1] != b""
     complete = lines[:-1]  # the final element is b"" or a torn tail
+    crc32 = zlib.crc32
+    payloads = scan.payloads
     for number, line in enumerate(complete, 1):
+        payload = line[_LINE_PREFIX_LEN:]
+        if line.startswith(_LINE_HEADER % (len(payload), crc32(payload))):
+            payloads.append(payload)
+            continue
         payload, kind, detail = _classify_line(line)
         if kind is not OK:
             # Damage on a newline-terminated line: the writer finished
@@ -193,7 +203,7 @@ def scan_lines(data: bytes) -> LineScan:
             scan.damage_line = number
             scan.damage_detail = detail or "damaged line"
             return scan
-        scan.payloads.append(payload)
+        payloads.append(payload)
     if unterminated:
         payload, kind, detail = _classify_line(lines[-1])
         if kind is OK:

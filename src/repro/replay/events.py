@@ -45,7 +45,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from typing import Any, Dict
+from typing import Any, Dict, List
 
 from ..errors import ReproError
 
@@ -104,7 +104,11 @@ def is_known_kind(kind: str) -> bool:
 
 
 def _sanitize(value: Any) -> Any:
-    """Make a payload strict-JSON safe without losing float precision."""
+    """Make a payload strict-JSON safe without losing float precision.
+
+    The reference rewrite: :func:`encode_event` applies it only to the
+    events the canonical encoder refuses as they are.
+    """
     if isinstance(value, float):
         if math.isnan(value):
             return "nan"
@@ -120,14 +124,30 @@ def _sanitize(value: Any) -> Any:
     return value
 
 
+#: The one canonical encoder: sorted keys, compact separators, repr
+#: floats, and a refusal of non-finite floats (they take the
+#: :func:`_sanitize` path instead). Stateless between calls, so one
+#: instance serves every event.
+_CANONICAL = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False
+).encode
+
+
 def encode_event(event: Dict[str, Any]) -> bytes:
-    """Canonical UTF-8 JSON bytes for one event (sorted keys, compact)."""
-    return json.dumps(
-        _sanitize(event),
-        sort_keys=True,
-        separators=(",", ":"),
-        allow_nan=False,
-    ).encode("utf-8")
+    """Canonical UTF-8 JSON bytes for one event (sorted keys, compact).
+
+    The event is encoded as it is; only when that raises — a
+    non-finite float or a plain (non-mixin) enum — is it re-encoded
+    through :func:`_sanitize`. The bytes are the same as always
+    encoding ``_sanitize(event)``: every other value ``_sanitize``
+    rewrites (tuples, ``str``/``int``/``float``-mixin enums) already
+    encodes to the bytes of its rewrite.
+    """
+    try:
+        text = _CANONICAL(event)
+    except (ValueError, TypeError):
+        text = _CANONICAL(_sanitize(event))
+    return text.encode("utf-8")
 
 
 def decode_event(payload: bytes) -> Dict[str, Any]:
@@ -148,6 +168,46 @@ def decode_event(payload: bytes) -> Dict[str, Any]:
             f"event line is not an object with a 'k' kind: {payload[:80]!r}"
         )
     return event
+
+
+_DECODER = json.JSONDecoder()
+
+
+def decode_events(payloads: List[bytes]) -> List[Dict[str, Any]]:
+    """:func:`decode_event` over every payload, from one text of the log.
+
+    The payloads are joined and decoded to text once, then each event is
+    parsed at its own offset and accepted only if the parse ends exactly
+    where the payload does and yields an object with a ``k`` kind — the
+    same object :func:`decode_event` would return. (A single parse of
+    the joined array would not be exact: two invalid payloads can join
+    into valid JSON, e.g. a string spanning the separator.) From the
+    first payload that fails the guard on, each payload goes through
+    :func:`decode_event`, which raises its exact error.
+    """
+    events: List[Dict[str, Any]] = []
+    try:
+        # The canonical encoder escapes all non-ASCII, so text offsets
+        # equal byte offsets; a non-ASCII payload takes the slow path.
+        text = b"\n".join(payloads).decode("ascii")
+    except UnicodeDecodeError:
+        text = None
+    if text is not None:
+        parse = _DECODER.raw_decode
+        start = 0
+        try:
+            for payload in payloads:
+                end = start + len(payload)
+                event, stop = parse(text, start)
+                if stop != end or not isinstance(event, dict) or "k" not in event:
+                    break
+                events.append(event)
+                start = end + 1
+        except ValueError:
+            pass
+    for payload in payloads[len(events) :]:
+        events.append(decode_event(payload))
+    return events
 
 
 def decode_float(value: Any) -> float:

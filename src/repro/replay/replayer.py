@@ -41,7 +41,7 @@ from .events import (
     EventKind,
     ReplayError,
     check_schema,
-    decode_event,
+    decode_events,
     decode_float,
 )
 
@@ -106,7 +106,7 @@ def scan_events(path: str, strict: bool = False) -> "EventScan":
         raise ReplayError(
             f"{path}: corrupt at line {scan.damage_line}: {scan.damage_detail}"
         )
-    events = [decode_event(payload) for payload in scan.payloads]
+    events = decode_events(scan.payloads)
     return EventScan(
         events=events,
         damage=scan.damage,
@@ -172,8 +172,85 @@ class ReplayedSession:
         )
 
 
+def _content_from_meta(path: str, meta: Dict[str, Any]) -> ReplayContent:
+    content_meta = meta.get("content")
+    if not isinstance(content_meta, dict):
+        raise ReplayError(f"{path}: session_meta carries no content description")
+    try:
+        return ReplayContent(
+            name=content_meta.get("name", "replayed"),
+            video=_ladder_from_meta(MediaType.VIDEO, content_meta["video"]),
+            audio=_ladder_from_meta(MediaType.AUDIO, content_meta["audio"]),
+            duration_s=decode_float(content_meta["duration_s"]),
+            chunk_duration_s=decode_float(content_meta["chunk_duration_s"]),
+            n_chunks=int(content_meta["n_chunks"]),
+        )
+    except (KeyError, TypeError, ValueError, OverflowError, ReplayError) as exc:
+        raise ReplayError(
+            f"{path}: session_meta at seq {meta.get('seq')}: "
+            f"malformed content description ({exc!r})"
+        ) from exc
+
+
+# Kind strings, compared once per replayed event.
+_DOWNLOAD_START = EventKind.DOWNLOAD_START.value
+_DOWNLOAD_PROGRESS = EventKind.DOWNLOAD_PROGRESS.value
+_DOWNLOAD_COMPLETE = EventKind.DOWNLOAD_COMPLETE.value
+_DOWNLOAD_ABORT = EventKind.DOWNLOAD_ABORT.value
+_FAILURE = EventKind.FAILURE.value
+_SKIP = EventKind.SKIP.value
+_STALL_BEGIN = EventKind.STALL_BEGIN.value
+_STALL_END = EventKind.STALL_END.value
+_PLAYBACK_START = EventKind.PLAYBACK_START.value
+_BUFFER_SAMPLE = EventKind.BUFFER_SAMPLE.value
+_ESTIMATE = EventKind.ESTIMATE.value
+_VERDICT = EventKind.VERDICT.value
+
+#: Recorded ``medium`` strings; any other value is malformed.
+_MEDIA = {medium.value: medium for medium in MediaType}
+
+
+class _BadField(Exception):
+    """A replayed field (``args[0]``) holds a value its decoder rejects."""
+
+
+# Field readers for replay_session: a missing field raises KeyError, a
+# value the decoder rejects _BadField, each carrying the field's name.
+
+
+def _float(event: Dict[str, Any], name: str) -> float:
+    value = event[name]
+    if value.__class__ is float:
+        return value
+    try:
+        return decode_float(value)
+    except (TypeError, ValueError, OverflowError, ReplayError):
+        raise _BadField(name) from None
+
+
+def _int(event: Dict[str, Any], name: str) -> int:
+    try:
+        return int(event[name])
+    except (TypeError, ValueError, OverflowError):
+        raise _BadField(name) from None
+
+
+def _medium(event: Dict[str, Any]) -> MediaType:
+    try:
+        return _MEDIA[event["medium"]]
+    except (KeyError, TypeError):
+        if "medium" not in event:
+            raise
+        raise _BadField("medium") from None
+
+
 def replay_session(path: str, strict: bool = False) -> ReplayedSession:
-    """Rebuild a :class:`ReplayedSession` from a recorded event log."""
+    """Rebuild a :class:`ReplayedSession` from a recorded event log.
+
+    A known-kind event with a missing or ill-typed field, or an unknown
+    ``medium``, raises :class:`ReplayError` naming the log, the event's
+    ``seq`` and kind, and the field. Unknown kinds are skipped.
+    """
     scan = scan_events(path, strict=strict)
     if not scan.events:
         raise ReplayError(
@@ -182,17 +259,7 @@ def replay_session(path: str, strict: bool = False) -> ReplayedSession:
         )
     meta = scan.events[0]
     check_schema(meta)
-    content_meta = meta.get("content")
-    if not isinstance(content_meta, dict):
-        raise ReplayError(f"{path}: session_meta carries no content description")
-    content = ReplayContent(
-        name=content_meta.get("name", "replayed"),
-        video=_ladder_from_meta(MediaType.VIDEO, content_meta["video"]),
-        audio=_ladder_from_meta(MediaType.AUDIO, content_meta["audio"]),
-        duration_s=decode_float(content_meta["duration_s"]),
-        chunk_duration_s=decode_float(content_meta["chunk_duration_s"]),
-        n_chunks=int(content_meta["n_chunks"]),
-    )
+    content = _content_from_meta(path, meta)
     result = SessionResult(
         content_duration_s=content.duration_s,
         chunk_duration_s=content.chunk_duration_s,
@@ -209,114 +276,142 @@ def replay_session(path: str, strict: bool = False) -> ReplayedSession:
         damage_detail=scan.damage_detail,
     )
 
-    open_downloads: Dict[str, _OpenDownload] = {}
+    open_downloads: Dict[MediaType, _OpenDownload] = {}
     last_t = 0.0
     for event in scan.events[1:]:
-        kind = event["k"]
-        if "t" in event:
-            last_t = decode_float(event["t"])
-        if kind == EventKind.DOWNLOAD_START.value:
-            open_downloads[event["medium"]] = _OpenDownload(
-                track_id=event["track_id"],
-                chunk_index=int(event["chunk_index"]),
-                size_bits=decode_float(event["size_bits"]),
-                started_at=decode_float(event["t"]),
-                resumed_bits=decode_float(event.get("resumed_bits", 0.0)),
-            )
-        elif kind == EventKind.DOWNLOAD_PROGRESS.value:
-            active = open_downloads.get(event["medium"])
-            if active is not None:
-                active.segments.append(
-                    ProgressSegment(
-                        start_s=decode_float(event["t0"]),
-                        end_s=decode_float(event["t1"]),
-                        bits=decode_float(event["bits"]),
+        try:
+            kind = event["k"]
+            if "t" in event:
+                last_t = _float(event, "t")
+            if kind == _DOWNLOAD_PROGRESS:
+                active = open_downloads.get(_medium(event))
+                if active is not None:
+                    active.segments.append(
+                        ProgressSegment(
+                            start_s=_float(event, "t0"),
+                            end_s=_float(event, "t1"),
+                            bits=_float(event, "bits"),
+                        )
+                    )
+            elif kind == _BUFFER_SAMPLE:
+                result.add_buffer_sample(
+                    BufferSample(
+                        t=_float(event, "t"),
+                        video_level_s=_float(event, "video_s"),
+                        audio_level_s=_float(event, "audio_s"),
                     )
                 )
-        elif kind == EventKind.DOWNLOAD_COMPLETE.value:
-            active = open_downloads.pop(event["medium"], None)
-            result.add_download(
-                DownloadRecord(
-                    medium=MediaType(event["medium"]),
+            elif kind == _DOWNLOAD_START:
+                open_downloads[_medium(event)] = _OpenDownload(
                     track_id=event["track_id"],
-                    chunk_index=int(event["chunk_index"]),
-                    size_bits=decode_float(event["size_bits"]),
-                    started_at=decode_float(event["started_at"]),
-                    completed_at=decode_float(event["t"]),
-                    segments=tuple(active.segments) if active else (),
-                    resumed_bits=decode_float(event.get("resumed_bits", 0.0)),
+                    chunk_index=_int(event, "chunk_index"),
+                    size_bits=_float(event, "size_bits"),
+                    started_at=_float(event, "t"),
+                    resumed_bits=(
+                        _float(event, "resumed_bits")
+                        if "resumed_bits" in event
+                        else 0.0
+                    ),
                 )
-            )
-        elif kind == EventKind.DOWNLOAD_ABORT.value:
-            open_downloads.pop(event["medium"], None)
-            result.add_abort(
-                AbortRecord(
-                    medium=MediaType(event["medium"]),
-                    track_id=event["track_id"],
-                    chunk_index=int(event["chunk_index"]),
-                    aborted_at=decode_float(event["t"]),
-                    bits_done=decode_float(event["bits_done"]),
-                    size_bits=decode_float(event["size_bits"]),
+            elif kind == _DOWNLOAD_COMPLETE:
+                medium = _medium(event)
+                active = open_downloads.pop(medium, None)
+                result.add_download(
+                    DownloadRecord(
+                        medium=medium,
+                        track_id=event["track_id"],
+                        chunk_index=_int(event, "chunk_index"),
+                        size_bits=_float(event, "size_bits"),
+                        started_at=_float(event, "started_at"),
+                        completed_at=_float(event, "t"),
+                        segments=tuple(active.segments) if active else (),
+                        resumed_bits=(
+                            _float(event, "resumed_bits")
+                            if "resumed_bits" in event
+                            else 0.0
+                        ),
+                    )
                 )
-            )
-        elif kind == EventKind.FAILURE.value:
-            open_downloads.pop(event["medium"], None)
-            retry_at = event.get("retry_at")
-            result.add_failure(
-                FailureRecord(
-                    medium=MediaType(event["medium"]),
-                    track_id=event["track_id"],
-                    chunk_index=int(event["chunk_index"]),
-                    failed_at=decode_float(event["t"]),
-                    bits_done=decode_float(event["bits_done"]),
-                    kind=event["kind"],
-                    attempt=int(event.get("attempt", 1)),
-                    resumable=bool(event.get("resumable", False)),
-                    retry_at=None if retry_at is None else decode_float(retry_at),
+            elif kind == _ESTIMATE:
+                result.add_estimate(_float(event, "t"), _float(event, "kbps"))
+            elif kind == _DOWNLOAD_ABORT:
+                medium = _medium(event)
+                open_downloads.pop(medium, None)
+                result.add_abort(
+                    AbortRecord(
+                        medium=medium,
+                        track_id=event["track_id"],
+                        chunk_index=_int(event, "chunk_index"),
+                        aborted_at=_float(event, "t"),
+                        bits_done=_float(event, "bits_done"),
+                        size_bits=_float(event, "size_bits"),
+                    )
                 )
-            )
-        elif kind == EventKind.SKIP.value:
-            result.add_skip(
-                SkipRecord(
-                    medium=MediaType(event["medium"]),
-                    track_id=event["track_id"],
-                    chunk_index=int(event["chunk_index"]),
-                    skipped_at=decode_float(event["t"]),
-                    attempts=int(event["attempts"]),
+            elif kind == _FAILURE:
+                medium = _medium(event)
+                open_downloads.pop(medium, None)
+                result.add_failure(
+                    FailureRecord(
+                        medium=medium,
+                        track_id=event["track_id"],
+                        chunk_index=_int(event, "chunk_index"),
+                        failed_at=_float(event, "t"),
+                        bits_done=_float(event, "bits_done"),
+                        kind=event["kind"],
+                        attempt=_int(event, "attempt") if "attempt" in event else 1,
+                        resumable=bool(event.get("resumable", False)),
+                        retry_at=(
+                            None
+                            if event.get("retry_at") is None
+                            else _float(event, "retry_at")
+                        ),
+                    )
                 )
-            )
-        elif kind == EventKind.STALL_BEGIN.value:
-            result.stalls.append(StallEvent(start_s=decode_float(event["t"])))
-        elif kind == EventKind.STALL_END.value:
-            if not result.stalls or result.stalls[-1].end_s is not None:
-                raise ReplayError(
-                    f"{path}: stall_end at seq {event.get('seq')} "
-                    "without an open stall"
+            elif kind == _SKIP:
+                result.add_skip(
+                    SkipRecord(
+                        medium=_medium(event),
+                        track_id=event["track_id"],
+                        chunk_index=_int(event, "chunk_index"),
+                        skipped_at=_float(event, "t"),
+                        attempts=_int(event, "attempts"),
+                    )
                 )
-            result.stalls[-1].end_s = decode_float(event["t"])
-        elif kind == EventKind.PLAYBACK_START.value:
-            result.startup_delay_s = decode_float(event["t"])
-        elif kind == EventKind.BUFFER_SAMPLE.value:
-            result.add_buffer_sample(
-                BufferSample(
-                    t=decode_float(event["t"]),
-                    video_level_s=decode_float(event["video_s"]),
-                    audio_level_s=decode_float(event["audio_s"]),
+            elif kind == _STALL_BEGIN:
+                result.stalls.append(StallEvent(start_s=_float(event, "t")))
+            elif kind == _STALL_END:
+                if not result.stalls or result.stalls[-1].end_s is not None:
+                    raise ReplayError(
+                        f"{path}: stall_end at seq {event.get('seq')} "
+                        "without an open stall"
+                    )
+                result.stalls[-1].end_s = _float(event, "t")
+            elif kind == _PLAYBACK_START:
+                result.startup_delay_s = _float(event, "t")
+            elif kind == _VERDICT:
+                completed = bool(event["completed"])
+                ended_at_s = _float(event, "t")
+                startup = (
+                    None
+                    if event.get("startup_delay_s") is None
+                    else _float(event, "startup_delay_s")
                 )
-            )
-        elif kind == EventKind.ESTIMATE.value:
-            result.add_estimate(decode_float(event["t"]), decode_float(event["kbps"]))
-        elif kind == EventKind.VERDICT.value:
-            replayed.has_verdict = True
-            result.completed = bool(event["completed"])
-            result.ended_at_s = decode_float(event["t"])
-            result.termination_reason = event.get("termination_reason")
-            startup = event.get("startup_delay_s")
-            result.startup_delay_s = (
-                None if startup is None else decode_float(startup)
-            )
-        # Unknown kinds are skipped by design: newer writers may add
-        # kinds without bumping the schema (see the compat policy).
+                replayed.has_verdict = True
+                result.completed = completed
+                result.ended_at_s = ended_at_s
+                result.termination_reason = event.get("termination_reason")
+                result.startup_delay_s = startup
+            # Unknown kinds are skipped by design: newer writers may add
+            # kinds without bumping the schema (see the compat policy).
+        except KeyError as exc:
+            problem = f"missing field {exc.args[0]!r}"
+        except _BadField as exc:
+            problem = f"field {exc.args[0]!r} holds {event[exc.args[0]]!r}"
+        else:
+            continue
+        raise ReplayError(
+            f"{path}: {event['k']} event at seq {event.get('seq')}: {problem}"
+        )
     if not replayed.has_verdict:
         # Torn before the end: the prefix is still a valid partial
         # result. Close the clock at the last event seen.

@@ -147,6 +147,244 @@ class TestTornLogs:
         assert replayed.damage == "truncated"
 
 
+def rewrite_log(path, edit):
+    """Re-frame a log after ``edit(events)``: CRC-valid, content changed."""
+    from repro.framing import frame_line
+    from repro.replay.events import encode_event
+
+    events = scan_events(path).events
+    edit(events)
+    with open(path, "wb") as f:
+        for event in events:
+            f.write(frame_line(encode_event(event)))
+
+
+def first_of(events, kind):
+    return next(event for event in events if event["k"] == kind)
+
+
+class TestMalformedLogs:
+    """CRC-valid logs with bad content fail typed, never silently."""
+
+    def _replay_error(self, path):
+        with pytest.raises(ReplayError) as info:
+            replay_session(path)
+        return str(info.value)
+
+    def test_missing_field_names_log_seq_kind_and_field(self, content, tmp_path):
+        _, path = record_run(content, tmp_path)
+        seqs = []
+
+        def drop_size(events):
+            event = first_of(events, "download_complete")
+            seqs.append(event["seq"])
+            del event["size_bits"]
+
+        rewrite_log(path, drop_size)
+        message = self._replay_error(path)
+        assert message.startswith(path)
+        assert f"download_complete event at seq {seqs[0]}" in message
+        assert "missing field 'size_bits'" in message
+
+    def test_unknown_medium_is_refused_not_dropped(self, content, tmp_path):
+        _, path = record_run(content, tmp_path)
+        rewrite_log(
+            path,
+            lambda events: first_of(events, "download_start").update(
+                medium="subtitles"
+            ),
+        )
+        message = self._replay_error(path)
+        assert "download_start event at seq" in message
+        assert "field 'medium' holds 'subtitles'" in message
+
+    @pytest.mark.parametrize(
+        "kind", ["download_progress", "download_complete", "failure"]
+    )
+    def test_unknown_medium_on_any_medium_kind(self, content, tmp_path, kind):
+        _, path = record_run(
+            content,
+            tmp_path,
+            failure_model=ResilienceModel(0.2, seed=1),
+            retry_policy=RetryPolicy(),
+        )
+        rewrite_log(
+            path, lambda events: first_of(events, kind).update(medium="text")
+        )
+        assert f"{kind} event at seq" in self._replay_error(path)
+
+    @pytest.mark.parametrize(
+        "field,literal", [("chunk_index", b"1e999"), ("size_bits", b"1" + b"0" * 400)]
+    )
+    def test_out_of_range_number_is_named(self, content, tmp_path, field, literal):
+        # The canonical encoder cannot write these numbers (inf, an int
+        # too large for a float), so splice them into the JSON text.
+        from repro.framing import frame_line, scan_line_file
+
+        _, path = record_run(content, tmp_path)
+        rewrite_log(
+            path,
+            lambda events: first_of(events, "download_start").update(
+                {field: "PLACEHOLDER"}
+            ),
+        )
+        payloads = scan_line_file(path).payloads
+        with open(path, "wb") as f:
+            for payload in payloads:
+                f.write(frame_line(payload.replace(b'"PLACEHOLDER"', literal)))
+        assert f"field {field!r} holds" in self._replay_error(path)
+
+    def test_malformed_header_content_is_a_replay_error(self, content, tmp_path):
+        _, path = record_run(content, tmp_path)
+        rewrite_log(path, lambda events: events[0]["content"].pop("video"))
+        message = self._replay_error(path)
+        assert "session_meta at seq 0: malformed content description" in message
+        assert "'video'" in message
+
+    def test_cli_reports_malformed_log_and_exits_2(self, content, tmp_path, capsys):
+        from repro.cli import main
+
+        _, path = record_run(content, tmp_path)
+        rewrite_log(
+            path, lambda events: first_of(events, "estimate").pop("kbps")
+        )
+        assert main(["replay", path]) == 2
+        assert "missing field 'kbps'" in capsys.readouterr().err
+
+
+#: One event of each kind the replayer rebuilds from, with every field
+#: it reads, in an order that replays (start before progress, stall
+#: begin before end).
+_FULL_EVENTS = [
+    {"k": "download_start", "t": 0.5, "medium": "video", "track_id": "V1",
+     "chunk_index": 0, "size_bits": 100.0, "resumed_bits": 0.0},
+    {"k": "download_progress", "t0": 0.5, "t1": 1.0, "medium": "video",
+     "bits": 10.0},
+    {"k": "download_complete", "t": 1.0, "medium": "video", "track_id": "V1",
+     "chunk_index": 0, "size_bits": 100.0, "started_at": 0.5,
+     "resumed_bits": 0.0},
+    {"k": "download_abort", "t": 1.5, "medium": "audio", "track_id": "A1",
+     "chunk_index": 1, "bits_done": 5.0, "size_bits": 50.0},
+    {"k": "failure", "t": 2.0, "medium": "audio", "track_id": "A1",
+     "chunk_index": 1, "bits_done": 5.0, "kind": "timeout", "attempt": 1,
+     "resumable": True, "retry_at": 2.5},
+    {"k": "skip", "t": 2.5, "medium": "video", "track_id": "V1",
+     "chunk_index": 2, "attempts": 2},
+    {"k": "stall_begin", "t": 3.0},
+    {"k": "stall_end", "t": 3.5, "duration_s": 0.5},
+    {"k": "playback_start", "t": 0.8},
+    {"k": "buffer_sample", "t": 3.5, "video_s": 1.0, "audio_s": 2.0},
+    {"k": "estimate", "t": 3.5, "kbps": 900.0},
+    {"k": "verdict", "t": 4.0, "completed": True, "startup_delay_s": 0.8,
+     "termination_reason": None, "n_stalls": 1},
+]
+
+_FIELD_CASES = [
+    (index, field)
+    for index, event in enumerate(_FULL_EVENTS)
+    for field in event
+    if field != "k"
+]
+
+#: Fields a log may leave out: the replayer defaults or ignores them.
+_OPTIONAL = {
+    ("download_start", "resumed_bits"),
+    ("download_complete", "resumed_bits"),
+    ("failure", "attempt"),
+    ("failure", "resumable"),
+    ("failure", "retry_at"),
+    ("stall_end", "duration_s"),
+    ("verdict", "startup_delay_s"),
+    ("verdict", "termination_reason"),
+    ("verdict", "n_stalls"),
+}
+
+#: Fields whose value is kept as recorded (or ignored), never decoded.
+_UNDECODED = {
+    "track_id", "kind", "resumable", "completed", "termination_reason",
+    "duration_s", "n_stalls",
+}
+
+
+class TestFieldErrors:
+    """Whatever field of a rebuilt kind goes bad, the error names it.
+
+    Dropping a required field, or giving a decoded field a value no
+    decoder takes, raises a ReplayError naming that event and that
+    field — never a raw exception, never another field. Optional and
+    undecoded fields still replay.
+    """
+
+    def _replay(self, content, tmp_path, index=None, edit=None):
+        from repro.framing import frame_line
+        from repro.replay.events import encode_event
+
+        _, recorded = record_run(content, tmp_path)
+        events = [scan_events(recorded).events[0]]
+        for i, event in enumerate(_FULL_EVENTS, 1):
+            event = dict(event, seq=i)
+            if i - 1 == index:
+                edit(event)
+            events.append(event)
+        path = str(tmp_path / "built.events.jsonl")
+        with open(path, "wb") as f:
+            for event in events:
+                f.write(frame_line(encode_event(event)))
+        return path
+
+    def test_full_events_replay(self, content, tmp_path):
+        replayed = replay_session(self._replay(content, tmp_path))
+        assert replayed.has_verdict
+        (download,) = replayed.result.downloads
+        assert len(download.segments) == 1
+        assert len(replayed.result.failures) == len(replayed.result.skips) == 1
+
+    @pytest.mark.parametrize("index,field", _FIELD_CASES)
+    def test_dropped_field_is_named_or_optional(self, content, tmp_path, index, field):
+        path = self._replay(content, tmp_path, index, lambda e: e.pop(field))
+        kind = _FULL_EVENTS[index]["k"]
+        if (kind, field) in _OPTIONAL:
+            assert replay_session(path).has_verdict
+            return
+        with pytest.raises(ReplayError) as info:
+            replay_session(path)
+        assert f"{kind} event at seq {index + 1}: missing field {field!r}" in str(
+            info.value
+        )
+
+    @pytest.mark.parametrize("index,field", _FIELD_CASES)
+    def test_bogus_value_is_named_or_unread(self, content, tmp_path, index, field):
+        path = self._replay(
+            content, tmp_path, index, lambda e: e.update({field: ["bogus"]})
+        )
+        kind = _FULL_EVENTS[index]["k"]
+        if field in _UNDECODED:
+            assert replay_session(path).has_verdict
+            return
+        with pytest.raises(ReplayError) as info:
+            replay_session(path)
+        assert f"{kind} event at seq {index + 1}: field {field!r} holds ['bogus']" in (
+            str(info.value)
+        )
+
+    @pytest.mark.parametrize("kind", ["future", "decision", "download_progress"])
+    def test_bogus_time_is_named_on_any_kind(self, content, tmp_path, kind):
+        # ``t`` is read from every event carrying one, even kinds that
+        # are otherwise skipped or, like progress, use t0/t1 instead.
+        path = self._replay(
+            content, tmp_path, 1, lambda e: e.update(k=kind, t="x")
+        )
+        with pytest.raises(ReplayError, match=f"{kind} event at seq 2: field 't'"):
+            replay_session(path)
+
+    def test_replayer_own_errors_pass_through(self, content, tmp_path):
+        path = self._replay(
+            content, tmp_path, 6, lambda e: e.update(k="stall_end")
+        )
+        with pytest.raises(ReplayError, match="stall_end at seq 7 without an open"):
+            replay_session(path)
+
+
 class TestSchema:
     def test_header_carries_schema_and_content(self, content, tmp_path):
         _, path = record_run(content, tmp_path)
@@ -290,6 +528,31 @@ class TestRunnerRecording:
             f.truncate(os.path.getsize(path) - 10)
         outcome = run_jobs(jobs, record_dir=record_dir)[0]
         assert not outcome.replayed  # torn log is not trusted as a cache
+        assert replay_session(path).has_verdict  # ...and was re-recorded whole
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda events: first_of(events, "download_start").update(
+                medium="subtitles"
+            ),
+            lambda events: first_of(events, "download_complete").pop("size_bits"),
+        ],
+        ids=["unknown_medium", "missing_field"],
+    )
+    def test_malformed_log_is_resimulated_not_trusted(self, tmp_path, edit):
+        from repro.runner.engine import run_jobs
+
+        record_dir = str(tmp_path / "rec")
+        jobs = [
+            SimulationJob(player=PlayerSpec("shaka"), trace=TraceSpec.constant(900.0))
+        ]
+        first = run_jobs(jobs, record_dir=record_dir)[0]
+        path = record_path(record_dir, jobs[0].key())
+        rewrite_log(path, edit)
+        outcome = run_jobs(jobs, record_dir=record_dir)[0]
+        assert not outcome.replayed
+        assert outcome.result.summary() == first.result.summary()
         assert replay_session(path).has_verdict  # ...and was re-recorded whole
 
     def test_pool_workers_record_too(self, tmp_path):

@@ -134,6 +134,8 @@ class TestPinnedOracleProperty:
     any pinned job, re-recording with the current engine must produce
     the byte-for-byte identical event stream. Hypothesis samples the
     grid so a shrunk counterexample names the offending cell directly.
+    The comparison is of raw file bytes, so it also pins the canonical
+    encoding (see ``docs/event_log.md``).
     """
 
     @settings(
@@ -166,4 +168,9 @@ class TestPinnedOracleProperty:
         old = scan_events(pinned)
         new = scan_events(fresh)
         assert old.damage is None and new.damage is None
+        # Decoded first, for a readable diff of what changed...
         assert new.events == old.events, job.label()
+        # ...then the bytes: float repr, key order and whitespace are
+        # part of the contract even where the decoded events agree.
+        with open(pinned, "rb") as f_old, open(fresh, "rb") as f_new:
+            assert f_new.read() == f_old.read(), job.label()
