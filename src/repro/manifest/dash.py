@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from ..errors import ManifestError, ManifestParseError
 from ..media.content import Content
@@ -26,6 +26,8 @@ from ..media.tracks import MediaType
 
 MPD_NS = "urn:mpeg:dash:schema:mpd:2011"
 REPRO_NS = "urn:repro:dash:extensions:2019"
+
+_N = TypeVar("_N", int, float)
 
 
 @dataclass(frozen=True)
@@ -227,24 +229,39 @@ def _format_duration(seconds: float) -> str:
     return out
 
 
-def _parse_duration(text: str) -> float:
+def _number(text: str, parse: Callable[[str], _N], attribute: str, where: str) -> _N:
+    """``parse(text)`` for a numeric MPD attribute.
+
+    A value ``int``/``float`` rejects raises :class:`ManifestParseError`
+    naming the attribute and the element that carries it.
+    """
+    try:
+        return parse(text)
+    except ValueError:
+        raise ManifestParseError(
+            f"{where}: {attribute}={text!r} is not a valid number"
+        ) from None
+
+
+def _parse_duration(text: str, attribute: str = "duration") -> float:
     """Parse the ISO 8601 durations :func:`_format_duration` emits."""
     if not text.startswith("PT"):
         raise ManifestParseError(f"unsupported duration format: {text!r}")
     remainder = text[2:]
     seconds = 0.0
     number = ""
+    component = f"{attribute} component"
     for char in remainder:
         if char.isdigit() or char == ".":
             number += char
         elif char == "H":
-            seconds += float(number) * 3600
+            seconds += _number(number, float, component, "MPD") * 3600
             number = ""
         elif char == "M":
-            seconds += float(number) * 60
+            seconds += _number(number, float, component, "MPD") * 60
             number = ""
         elif char == "S":
-            seconds += float(number)
+            seconds += _number(number, float, component, "MPD")
             number = ""
         else:
             raise ManifestParseError(f"bad duration component {char!r} in {text!r}")
@@ -337,9 +354,9 @@ def parse_mpd(text: str) -> DashManifest:
     duration_attr = root.get("mediaPresentationDuration")
     if duration_attr is None:
         raise ManifestParseError("MPD lacks mediaPresentationDuration")
-    duration_s = _parse_duration(duration_attr)
+    duration_s = _parse_duration(duration_attr, "mediaPresentationDuration")
     min_buffer = root.get("minBufferTime")
-    min_buffer_s = _parse_duration(min_buffer) if min_buffer else 2.0
+    min_buffer_s = _parse_duration(min_buffer, "minBufferTime") if min_buffer else 2.0
 
     allowed: Optional[Tuple[Tuple[str, str], ...]] = None
     combos_el = root.find(f"{{{REPRO_NS}}}AllowedCombinations")
@@ -373,17 +390,27 @@ def parse_mpd(text: str) -> DashManifest:
         template: Optional[DashSegmentTemplate] = None
         template_el = aset_el.find(f"{{{MPD_NS}}}SegmentTemplate")
         if template_el is not None:
+            where = f"{content_type} SegmentTemplate"
+            duration = _number(
+                template_el.get("duration", "5000"), int, "duration", where
+            )
+            timescale = _number(
+                template_el.get("timescale", "1000"), int, "timescale", where
+            )
+            start_number = _number(
+                template_el.get("startNumber", "1"), int, "startNumber", where
+            )
             try:
                 template = DashSegmentTemplate(
                     media=template_el.get("media", "$RepresentationID$_$Number$.m4s"),
                     initialization=template_el.get(
                         "initialization", "$RepresentationID$_init.mp4"
                     ),
-                    duration=int(template_el.get("duration", "5000")),
-                    timescale=int(template_el.get("timescale", "1000")),
-                    start_number=int(template_el.get("startNumber", "1")),
+                    duration=duration,
+                    timescale=timescale,
+                    start_number=start_number,
                 )
-            except (ValueError, ManifestError) as exc:
+            except ManifestError as exc:
                 raise ManifestParseError(f"bad SegmentTemplate: {exc}") from exc
         reps: List[DashRepresentation] = []
         for rep_el in aset_el.findall(f"{{{MPD_NS}}}Representation"):
@@ -391,22 +418,32 @@ def parse_mpd(text: str) -> DashManifest:
             bandwidth = rep_el.get("bandwidth")
             if rep_id is None or bandwidth is None:
                 raise ManifestParseError("Representation lacks id or bandwidth")
+            where = f"Representation {rep_id!r}"
             channels: Optional[int] = None
             chan_el = rep_el.find(f"{{{MPD_NS}}}AudioChannelConfiguration")
             if chan_el is not None and chan_el.get("value"):
-                channels = int(chan_el.get("value"))
+                channels = _number(
+                    chan_el.get("value"),
+                    int,
+                    "value",
+                    f"AudioChannelConfiguration of {where}",
+                )
             sampling = rep_el.get("audioSamplingRate")
             width = rep_el.get("width")
             height = rep_el.get("height")
             reps.append(
                 DashRepresentation(
                     rep_id=rep_id,
-                    bandwidth_bps=int(bandwidth),
+                    bandwidth_bps=_number(bandwidth, int, "bandwidth", where),
                     codecs=rep_el.get("codecs", ""),
-                    width=int(width) if width else None,
-                    height=int(height) if height else None,
+                    width=_number(width, int, "width", where) if width else None,
+                    height=_number(height, int, "height", where) if height else None,
                     audio_channels=channels,
-                    audio_sampling_rate_hz=int(sampling) if sampling else None,
+                    audio_sampling_rate_hz=(
+                        _number(sampling, int, "audioSamplingRate", where)
+                        if sampling
+                        else None
+                    ),
                 )
             )
         asets.append(

@@ -15,9 +15,11 @@ Implements the HLS constructs the paper analyses (Section 2.3, 4.1):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from ..errors import ManifestError, ManifestParseError
+
+_N = TypeVar("_N", int, float)
 
 
 @dataclass(frozen=True)
@@ -308,18 +310,42 @@ def _ids_from_uri(uri: str) -> Tuple[Optional[str], Optional[str]]:
     return stem or None, None
 
 
+def _number(text: str, parse: Callable[[str], _N], name: str, line_no: int) -> _N:
+    """``parse(text)`` for a numeric tag value or attribute.
+
+    A value ``int``/``float`` rejects raises :class:`ManifestParseError`
+    naming the tag or attribute and its line (1-based).
+    """
+    try:
+        return parse(text)
+    except ValueError:
+        raise ManifestParseError(
+            f"line {line_no}: {name} value {text!r} is not a valid number"
+        ) from None
+
+
+def _numbered_lines(text: str) -> List[Tuple[int, str]]:
+    """Non-blank stripped lines with their 1-based line numbers."""
+    return [
+        (line_no, line.strip())
+        for line_no, line in enumerate(text.splitlines(), 1)
+        if line.strip()
+    ]
+
+
 def parse_master_playlist(text: str) -> HlsMasterPlaylist:
     """Parse master playlist m3u8 text."""
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
-    if not lines or lines[0] != "#EXTM3U":
+    lines = _numbered_lines(text)
+    if not lines or lines[0][1] != "#EXTM3U":
         raise ManifestParseError("master playlist must start with #EXTM3U")
     version = 1
     renditions: List[HlsRendition] = []
     variants: List[HlsVariant] = []
     pending_inf: Optional[Dict[str, str]] = None
-    for line in lines[1:]:
+    inf_line_no = 0
+    for line_no, line in lines[1:]:
         if line.startswith("#EXT-X-VERSION:"):
-            version = int(line.split(":", 1)[1])
+            version = _number(line.split(":", 1)[1], int, "EXT-X-VERSION", line_no)
         elif line.startswith("#EXT-X-MEDIA:"):
             attrs = _parse_attributes(line.split(":", 1)[1])
             if attrs.get("TYPE") != "AUDIO":
@@ -329,7 +355,11 @@ def parse_master_playlist(text: str) -> HlsMasterPlaylist:
                     group_id=attrs.get("GROUP-ID", ""),
                     name=attrs.get("NAME", ""),
                     uri=attrs.get("URI", ""),
-                    channels=int(attrs["CHANNELS"]) if "CHANNELS" in attrs else None,
+                    channels=(
+                        _number(attrs["CHANNELS"], int, "CHANNELS", line_no)
+                        if "CHANNELS" in attrs
+                        else None
+                    ),
                     default=attrs.get("DEFAULT") == "YES",
                     autoselect=attrs.get("AUTOSELECT", "YES") == "YES",
                     language=attrs.get("LANGUAGE"),
@@ -337,6 +367,7 @@ def parse_master_playlist(text: str) -> HlsMasterPlaylist:
             )
         elif line.startswith("#EXT-X-STREAM-INF:"):
             pending_inf = _parse_attributes(line.split(":", 1)[1])
+            inf_line_no = line_no
         elif line.startswith("#"):
             continue
         else:  # a URI line closing a pending EXT-X-STREAM-INF
@@ -356,9 +387,16 @@ def parse_master_playlist(text: str) -> HlsMasterPlaylist:
             video_id, audio_id = _ids_from_uri(line)
             variants.append(
                 HlsVariant(
-                    bandwidth_bps=int(pending_inf["BANDWIDTH"]),
+                    bandwidth_bps=_number(
+                        pending_inf["BANDWIDTH"], int, "BANDWIDTH", inf_line_no
+                    ),
                     average_bandwidth_bps=(
-                        int(pending_inf["AVERAGE-BANDWIDTH"])
+                        _number(
+                            pending_inf["AVERAGE-BANDWIDTH"],
+                            int,
+                            "AVERAGE-BANDWIDTH",
+                            inf_line_no,
+                        )
                         if "AVERAGE-BANDWIDTH" in pending_inf
                         else None
                     ),
@@ -380,34 +418,44 @@ def parse_master_playlist(text: str) -> HlsMasterPlaylist:
 
 def parse_media_playlist(text: str, track_id: str = "") -> HlsMediaPlaylist:
     """Parse media playlist m3u8 text."""
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
-    if not lines or lines[0] != "#EXTM3U":
+    lines = _numbered_lines(text)
+    if not lines or lines[0][1] != "#EXTM3U":
         raise ManifestParseError("media playlist must start with #EXTM3U")
     version = 1
     segments: List[HlsSegment] = []
     pending_duration: Optional[float] = None
     pending_byterange: Optional[Tuple[int, int]] = None
     pending_bitrate: Optional[float] = None
-    for line in lines[1:]:
+    for line_no, line in lines[1:]:
         if line.startswith("#EXT-X-VERSION:"):
-            version = int(line.split(":", 1)[1])
+            version = _number(line.split(":", 1)[1], int, "EXT-X-VERSION", line_no)
         elif line.startswith("#EXT-X-BITRATE:"):
-            pending_bitrate = float(line.split(":", 1)[1])
+            pending_bitrate = _number(
+                line.split(":", 1)[1], float, "EXT-X-BITRATE", line_no
+            )
         elif line.startswith("#EXTINF:"):
             body = line.split(":", 1)[1]
-            pending_duration = float(body.split(",", 1)[0])
+            pending_duration = _number(
+                body.split(",", 1)[0], float, "EXTINF", line_no
+            )
         elif line.startswith("#EXT-X-BYTERANGE:"):
             body = line.split(":", 1)[1]
             if "@" in body:
                 length_s, offset_s = body.split("@", 1)
-                pending_byterange = (int(length_s), int(offset_s))
+                pending_byterange = (
+                    _number(length_s, int, "EXT-X-BYTERANGE", line_no),
+                    _number(offset_s, int, "EXT-X-BYTERANGE", line_no),
+                )
             else:
                 previous_end = (
                     segments[-1].byterange[0] + segments[-1].byterange[1]
                     if segments and segments[-1].byterange
                     else 0
                 )
-                pending_byterange = (int(body), previous_end)
+                pending_byterange = (
+                    _number(body, int, "EXT-X-BYTERANGE", line_no),
+                    previous_end,
+                )
         elif line.startswith("#"):
             continue
         else:

@@ -147,38 +147,17 @@ def _media_playlist_for(
     return HlsMediaPlaylist(track_id=track.track_id, segments=tuple(segments))
 
 
-def package_hls(
+def _hls_master(
     content: Content,
-    combinations: Optional[CombinationSet] = None,
+    combos: CombinationSet,
     audio_order: Optional[Sequence[str]] = None,
     variant_order: str = "bandwidth",
-    single_file: bool = True,
-    include_bitrate_tag: bool = False,
-    self_lint: bool = False,
-) -> HlsPackage:
-    """Build an HLS package for the content.
+) -> HlsMasterPlaylist:
+    """The master playlist :func:`package_hls` writes for ``combos``.
 
-    :param combinations: the variants to list. Defaults to *all*
-        combinations — the paper's H_all. Pass
-        :func:`repro.core.combinations.hsub_combinations` for H_sub.
-    :param audio_order: audio track ids in the order their
-        ``EXT-X-MEDIA`` renditions should be listed. The paper shows the
-        order is behaviourally significant: ExoPlayer locks onto the
-        first rendition. Defaults to ladder order (lowest first).
-    :param variant_order: ``"bandwidth"`` (ascending aggregate peak,
-        Table-2 order) or ``"manifest"`` (the order of the combination
-        set as given).
-    :param single_file: package each track as a single file with
-        ``EXT-X-BYTERANGE`` (case i of Section 4.1) rather than one file
-        per chunk (case ii).
-    :param include_bitrate_tag: emit ``EXT-X-BITRATE`` per chunk — the
-        optional tag the paper recommends making mandatory. Only
-        meaningful with ``single_file=False`` (with byte ranges the
-        bitrate is already derivable), but allowed in both modes.
-    :param self_lint: run :mod:`repro.analysis` over the serialized
-        package and raise :class:`ManifestError` on any ERROR finding.
+    Players adapt over the master alone, so they are built from this
+    without packaging the per-track media playlists.
     """
-    combos = combinations if combinations is not None else all_combinations(content)
     if audio_order is None:
         audio_ids = [t.track_id for t in combos.audio_tracks()]
         audio_ids.sort(key=content.audio.index_of)
@@ -228,7 +207,44 @@ def package_hls(
         for c in ordered
     )
 
-    track_ids = {c.video.track_id for c in combos} | set(audio_ids)
+    return HlsMasterPlaylist(variants=variants, renditions=renditions)
+
+
+def package_hls(
+    content: Content,
+    combinations: Optional[CombinationSet] = None,
+    audio_order: Optional[Sequence[str]] = None,
+    variant_order: str = "bandwidth",
+    single_file: bool = True,
+    include_bitrate_tag: bool = False,
+    self_lint: bool = False,
+) -> HlsPackage:
+    """Build an HLS package for the content.
+
+    :param combinations: the variants to list. Defaults to *all*
+        combinations — the paper's H_all. Pass
+        :func:`repro.core.combinations.hsub_combinations` for H_sub.
+    :param audio_order: audio track ids in the order their
+        ``EXT-X-MEDIA`` renditions should be listed. The paper shows the
+        order is behaviourally significant: ExoPlayer locks onto the
+        first rendition. Defaults to ladder order (lowest first).
+    :param variant_order: ``"bandwidth"`` (ascending aggregate peak,
+        Table-2 order) or ``"manifest"`` (the order of the combination
+        set as given).
+    :param single_file: package each track as a single file with
+        ``EXT-X-BYTERANGE`` (case i of Section 4.1) rather than one file
+        per chunk (case ii).
+    :param include_bitrate_tag: emit ``EXT-X-BITRATE`` per chunk — the
+        optional tag the paper recommends making mandatory. Only
+        meaningful with ``single_file=False`` (with byte ranges the
+        bitrate is already derivable), but allowed in both modes.
+    :param self_lint: run :mod:`repro.analysis` over the serialized
+        package and raise :class:`ManifestError` on any ERROR finding.
+    """
+    combos = combinations if combinations is not None else all_combinations(content)
+    master = _hls_master(content, combos, audio_order, variant_order)
+    audio_ids = {rendition.name for rendition in master.renditions}
+    track_ids = {c.video.track_id for c in combos} | audio_ids
     playlists = {
         track_id: _media_playlist_for(
             content,
@@ -238,7 +254,6 @@ def package_hls(
         )
         for track_id in sorted(track_ids)
     }
-    master = HlsMasterPlaylist(variants=variants, renditions=renditions)
     package = HlsPackage(master=master, media_playlists=playlists)
     if self_lint:
         _self_lint(package.write_all())

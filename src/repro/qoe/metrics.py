@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import ReproError
 from ..media.content import Content
@@ -146,19 +146,29 @@ def compute_qoe(
     switch_cost = 0.0
     video_switches = result.switch_count(MediaType.VIDEO)
     audio_switches = result.switch_count(MediaType.AUDIO)
+    # A session uses a handful of tracks and pairs; score each once.
+    video_utils: Dict[str, float] = {}
+    audio_utils: Dict[str, float] = {}
+    undesirable_pairs: Dict[Tuple[str, str], bool] = {}
 
     for index, video_id, audio_id in result.selected_combinations():
         if video_id is None and audio_id is None:
             continue
         if video_id is not None:
-            util = track_utility(content, MediaType.VIDEO, video_id)
+            util = video_utils.get(video_id)
+            if util is None:
+                util = track_utility(content, MediaType.VIDEO, video_id)
+                video_utils[video_id] = util
             video_quality += util
             prev = prev_utils[MediaType.VIDEO]
             if prev is not None:
                 switch_cost += weights.switch * abs(util - prev)
             prev_utils[MediaType.VIDEO] = util
         if audio_id is not None:
-            util = track_utility(content, MediaType.AUDIO, audio_id)
+            util = audio_utils.get(audio_id)
+            if util is None:
+                util = track_utility(content, MediaType.AUDIO, audio_id)
+                audio_utils[audio_id] = util
             audio_quality += util
             prev = prev_utils[MediaType.AUDIO]
             if prev is not None:
@@ -166,7 +176,13 @@ def compute_qoe(
             prev_utils[MediaType.AUDIO] = util
         if video_id is not None and audio_id is not None:
             chunks += 1
-            if is_undesirable(content, video_id, audio_id):
+            pair = (video_id, audio_id)
+            flagged = undesirable_pairs.get(pair)
+            if flagged is None:
+                flagged = undesirable_pairs[pair] = is_undesirable(
+                    content, video_id, audio_id
+                )
+            if flagged:
                 undesirable += 1
 
     quality = (

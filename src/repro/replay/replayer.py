@@ -29,7 +29,6 @@ from ..framing import CORRUPT, scan_line_file
 from ..media.tracks import Ladder, MediaType, audio_track, make_ladder, video_track
 from ..sim.records import (
     AbortRecord,
-    BufferSample,
     DownloadRecord,
     FailureRecord,
     ProgressSegment,
@@ -277,6 +276,9 @@ def replay_session(path: str, strict: bool = False) -> ReplayedSession:
     )
 
     open_downloads: Dict[MediaType, _OpenDownload] = {}
+    buffer_t: List[float] = []
+    buffer_video: List[float] = []
+    buffer_audio: List[float] = []
     last_t = 0.0
     for event in scan.events[1:]:
         try:
@@ -294,13 +296,12 @@ def replay_session(path: str, strict: bool = False) -> ReplayedSession:
                         )
                     )
             elif kind == _BUFFER_SAMPLE:
-                result.add_buffer_sample(
-                    BufferSample(
-                        t=_float(event, "t"),
-                        video_level_s=_float(event, "video_s"),
-                        audio_level_s=_float(event, "audio_s"),
-                    )
-                )
+                t = _float(event, "t")
+                video_s = _float(event, "video_s")
+                audio_s = _float(event, "audio_s")
+                buffer_t.append(t)
+                buffer_video.append(video_s)
+                buffer_audio.append(audio_s)
             elif kind == _DOWNLOAD_START:
                 open_downloads[_medium(event)] = _OpenDownload(
                     track_id=event["track_id"],
@@ -412,6 +413,7 @@ def replay_session(path: str, strict: bool = False) -> ReplayedSession:
         raise ReplayError(
             f"{path}: {event['k']} event at seq {event.get('seq')}: {problem}"
         )
+    result.extend_buffer_samples(buffer_t, buffer_video, buffer_audio)
     if not replayed.has_verdict:
         # Torn before the end: the prefix is still a valid partial
         # result. Close the clock at the last event seen.

@@ -176,7 +176,7 @@ class PlayerSpec:
     def build(self, content):
         from ..core.combinations import all_combinations, hsub_combinations
         from ..core.player import RecommendedPlayer
-        from ..manifest.packager import package_dash, package_hls
+        from ..manifest.packager import _hls_master, package_dash
         from ..players.dashjs import DashJsPlayer
         from ..players.exoplayer import ExoPlayerDash, ExoPlayerHls
         from ..players.shaka import ShakaPlayer
@@ -189,18 +189,14 @@ class PlayerSpec:
         if self.name == "exoplayer-dash":
             return ExoPlayerDash(package_dash(content))
         if self.name == "exoplayer-hls":
-            master = package_hls(
+            master = _hls_master(
                 content,
-                combinations=combos if self.combinations == "hsub" else None,
+                combos,
                 audio_order=list(self.audio_order) if self.audio_order else None,
-            ).master
+            )
             return ExoPlayerHls(master)
         if self.name == "shaka":
-            master = package_hls(
-                content,
-                combinations=combos if self.combinations == "hsub" else None,
-            ).master
-            return ShakaPlayer.from_hls(master)
+            return ShakaPlayer.from_hls(_hls_master(content, combos))
         if self.name == "dashjs":
             return DashJsPlayer(package_dash(content))
         if self.name == "recommended":

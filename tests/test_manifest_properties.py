@@ -5,9 +5,12 @@ must preserve every fact a player consumes: bandwidths, track
 identities, combination structure, byte ranges, languages.
 """
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import ReproError
 from repro.manifest.dash import parse_mpd, write_mpd
 from repro.manifest.hls import (
     parse_master_playlist,
@@ -16,7 +19,7 @@ from repro.manifest.hls import (
     write_media_playlist,
 )
 from repro.manifest.packager import package_dash, package_hls
-from repro.media.content import synthetic_content
+from repro.media.content import drama_show, synthetic_content
 
 
 @st.composite
@@ -116,3 +119,39 @@ class TestHlsRoundTripProperties:
             avg, peak = derived[track.track_id]
             assert avg == pytest.approx(track.avg_kbps, rel=0.02)
             assert peak == pytest.approx(track.peak_kbps, rel=0.02)
+
+
+def _packaged_documents():
+    content = drama_show()
+    byte_ranges = package_hls(content)
+    per_chunk = package_hls(content, single_file=False, include_bitrate_tag=True)
+    return [
+        (parse_mpd, write_mpd(package_dash(content))),
+        (parse_master_playlist, write_master_playlist(byte_ranges.master)),
+        (parse_media_playlist, write_media_playlist(byte_ranges.media_playlist("V2"))),
+        (parse_media_playlist, write_media_playlist(per_chunk.media_playlist("A3"))),
+    ]
+
+
+_DOCUMENTS = _packaged_documents()
+_NUMBERS = re.compile(r"\d+(?:\.\d+)?")
+
+
+class TestHostileNumericFields:
+    """Mutating any number of a packaged manifest either still parses or
+    is rejected with a :class:`ReproError`; nothing else escapes."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.sampled_from(_DOCUMENTS),
+        st.data(),
+        st.text(alphabet="0123456789.-+eEx@,: ab\"_", max_size=8),
+    )
+    def test_every_rejection_is_a_repro_error(self, document, data, replacement):
+        parse, text = document
+        spans = [m.span() for m in _NUMBERS.finditer(text)]
+        start, end = data.draw(st.sampled_from(spans))
+        try:
+            parse(text[:start] + replacement + text[end:])
+        except ReproError:
+            pass
